@@ -114,30 +114,7 @@ ComponentCharacterization ComponentCharacterizer::characterize(
     if (!s.is_fresh() && s.mode == StressMode::measured) cacheable = false;
   }
   ComponentCharacterization result;
-  if (cacheable && ctx_->surrogate_bound() > 0.0) {
-    // Armed surrogate: a sweep may answer some points from the learned model
-    // rather than exact STA, and such a surface must never be memoized as
-    // exact truth. Probe the cache first (warm behavior is unchanged); on a
-    // miss run the sweep and only insert it if the surrogate contributed
-    // nothing — detected by a hit-counter delta, so a fully-exact run stays
-    // byte-identical to an unarmed one in both the store file and the logs.
-    engine::DesignStore& store = ctx_->store();
-    if (const ComponentCharacterization* cached = store.surface_if_cached(
-            *lib_, model_, base, scenarios, options_.min_precision,
-            options_.precision_step, options_.sta,
-            options_.incremental_sta)) {
-      result = *cached;
-    } else {
-      const std::uint64_t hits_before = store.stats().surrogate_hits;
-      result = sweep(base, scenarios, stimulus);
-      if (store.stats().surrogate_hits == hits_before) {
-        result = store.surface(
-            *lib_, model_, base, scenarios, options_.min_precision,
-            options_.precision_step, options_.sta, options_.incremental_sta,
-            [&]() -> ComponentCharacterization { return std::move(result); });
-      }
-    }
-  } else if (cacheable) {
+  if (cacheable) {
     result = ctx_->store().surface(
         *lib_, model_, base, scenarios, options_.min_precision,
         options_.precision_step, options_.sta, options_.incremental_sta,

@@ -35,8 +35,7 @@ struct CharacterizerOptions {
   /// family so the two never alias. Requires lsb_truncation and rejects
   /// measured-mode scenarios (their per-gate stress belongs to a
   /// re-synthesized netlist). Area/gate fields then report the base
-  /// netlist at every point. AAPX_STA_FULL=1 forces the full-recompute
-  /// algorithm inside this mode without changing any result or log byte.
+  /// netlist at every point.
   bool incremental_sta = false;
 };
 

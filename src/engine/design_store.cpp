@@ -26,20 +26,6 @@ constexpr std::uint64_t kTagSurface = 0x5346303031ULL;  // "SF001"
 // them from ever aliasing kTagDelay's re-synthesized full-STA entries —
 // the two families answer different questions about the same spec.
 constexpr std::uint64_t kTagTruncDelay = 0x4454303032ULL;  // "DT002"
-// Trained surrogate models, one per (library, AgingParams, StaOptions)
-// family. Own tag: a surrogate record can never alias an exact artifact.
-constexpr std::uint64_t kTagSurrogate = 0x5352303031ULL;  // "SR001"
-
-std::uint64_t surrogate_record_key(std::uint64_t lib_fp,
-                                   std::uint64_t params_key,
-                                   std::uint64_t sta_key) {
-  return Hasher{}
-      .u64(kTagSurrogate)
-      .u64(lib_fp)
-      .u64(params_key)
-      .u64(sta_key)
-      .digest();
-}
 
 /// Scenario identity under the surface cache: fresh scenarios of any stress
 /// mode are the same query (aging-free timing ignores the mode).
@@ -312,27 +298,6 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
       return delay;
     }
   }
-  // Learned fast path — consulted only after the exact caches (in-memory
-  // and staged disk) miss, so an exact answer is always preferred. A
-  // surrogate answer returns WITHOUT entering the delay family: the store
-  // only ever holds exact values. Declining (no model, hull miss, bound
-  // tighter than the validated error) falls through to the exact compute
-  // below, which is why an all-fallback armed run stays byte-identical to
-  // an unarmed one in both its logs and its store.
-  if (const double bound = ctx_->surrogate_bound(); bound > 0.0) {
-    if (const surrogate::SurrogateModel* sm =
-            surrogate_model(lib, model, sta)) {
-      if (const std::optional<double> pred =
-              sm->try_predict(spec, mode, years, model, bound)) {
-        surrogate_hits_n_.fetch_add(1, std::memory_order_relaxed);
-        ctx_->metrics().counter("engine.surrogate.hits").add();
-        log_surrogate_query(years > 0.0, bound, *pred);
-        return *pred;
-      }
-    }
-    surrogate_fallbacks_n_.fetch_add(1, std::memory_order_relaxed);
-    ctx_->metrics().counter("engine.surrogate.fallbacks").add();
-  }
   delay_misses_->add();
   count_persist_miss();
   double delay;
@@ -544,82 +509,6 @@ const ComponentCharacterization* DesignStore::surface_lookup(
   return nullptr;
 }
 
-const ComponentCharacterization* DesignStore::surface_if_cached(
-    const CellLibrary& lib, const AgingModel& model,
-    const ComponentSpec& base, const std::vector<AgingScenario>& scenarios,
-    int min_precision, int precision_step, const StaOptions& sta,
-    bool incremental_sta) {
-  const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t key =
-      surface_key(fp, model.params(), base, scenarios, min_precision,
-                  precision_step, sta, incremental_sta);
-  Shard<SurfaceEntry>& shard = surfaces_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return surface_lookup(shard, key, fp, model, base, scenarios, min_precision,
-                        precision_step, sta, incremental_sta);
-}
-
-std::uint64_t DesignStore::put_surrogate(const CellLibrary& lib,
-                                         const AgingModel& model,
-                                         const StaOptions& sta,
-                                         surrogate::SurrogateModel model_fit) {
-  const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t params_key = key_of(model.params());
-  const std::uint64_t sta_key = key_of(sta);
-  const std::uint64_t key = surrogate_record_key(fp, params_key, sta_key);
-  std::lock_guard<std::mutex> lock(surrogate_mutex_);
-  // Supersede any staged disk record of the same key: save() writes each
-  // key once, and a retrained model must not sit next to its predecessor.
-  (void)take_staged(static_cast<std::uint32_t>(RecordKind::surrogate), key);
-  surrogates_[key] = std::make_unique<SurrogateEntry>(
-      SurrogateEntry{fp, params_key, sta_key, std::move(model_fit)});
-  ctx_->metrics().counter("engine.surrogate.models").add();
-  return key;
-}
-
-const surrogate::SurrogateModel* DesignStore::surrogate_model(
-    const CellLibrary& lib, const AgingModel& model, const StaOptions& sta) {
-  const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t params_key = key_of(model.params());
-  const std::uint64_t sta_key = key_of(sta);
-  const std::uint64_t key = surrogate_record_key(fp, params_key, sta_key);
-  std::lock_guard<std::mutex> lock(surrogate_mutex_);
-  auto it = surrogates_.find(key);
-  if (it != surrogates_.end()) {
-    const SurrogateEntry& e = *it->second;
-    if (e.lib_fp != fp || e.params_key != params_key ||
-        e.sta_key != sta_key) {
-      throw std::logic_error("DesignStore: surrogate key collision");
-    }
-    return &e.model;
-  }
-  if (auto blob = take_staged(
-          static_cast<std::uint32_t>(RecordKind::surrogate), key)) {
-    try {
-      SurrogatePayload p = decode_surrogate_payload(*blob);
-      if (p.lib_fp == fp && p.params_key == params_key &&
-          p.sta_key == sta_key) {
-        // The blob's inner checksum is verified here: a flipped weight byte
-        // behind a consistent outer record checksum still throws, and the
-        // record is dropped — exact fallback, never a wrong model.
-        surrogate::SurrogateModel m =
-            surrogate::SurrogateModel::decode(p.model_blob);
-        persist_hits_->add();
-        it = surrogates_
-                 .emplace(key, std::make_unique<SurrogateEntry>(SurrogateEntry{
-                                   fp, params_key, sta_key, std::move(m)}))
-                 .first;
-        return &it->second->model;
-      }
-      warn_record_dropped("surrogate", key, "stale key material");
-    } catch (const std::exception& e) {
-      warn_record_dropped("surrogate", key, e.what());
-    }
-    persist_records_dropped_->add();
-  }
-  return nullptr;
-}
-
 bool DesignStore::open(const std::string& path) {
   // A SIGKILL mid-save leaves the write_store_file temp file behind; the
   // rename never happened, so the main file is intact and the temp is
@@ -689,15 +578,6 @@ bool DesignStore::save(const std::string& path) const {
     }
   }
   {
-    std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    for (const auto& [key, e] : surrogates_) {
-      records.push_back(
-          {RecordKind::surrogate, key,
-           encode_surrogate_payload({e->lib_fp, e->params_key, e->sta_key,
-                                     e->model.encode()})});
-    }
-  }
-  {
     // Records loaded but never queried this run ride along unchanged, so a
     // warm run never shrinks the store it was given.
     std::lock_guard<std::mutex> lock(staged_mutex_);
@@ -743,17 +623,6 @@ void DesignStore::log_delay_query(bool aged, std::uint64_t gates,
       .field("gates", gates)
       .field("max_delay_ps", delay);
   log.emit("sta_query", w);
-}
-
-void DesignStore::log_surrogate_query(bool aged, double bound_ps,
-                                      double delay) const {
-  obs::RunLog& log = ctx_->runlog();
-  if (!log.enabled() || in_parallel_region()) return;
-  obs::JsonWriter w;
-  w.field("kind", aged ? "aged" : "fresh")
-      .field("bound_ps", bound_ps)
-      .field("max_delay_ps", delay);
-  log.emit("surrogate_query", w);
 }
 
 std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
@@ -802,9 +671,6 @@ DesignStore::Stats DesignStore::stats() const {
   s.surface_hits = surface_hits_->value();
   s.surface_misses = surface_misses_->value();
   s.persist_hits = persist_hits_->value();
-  s.surrogate_hits = surrogate_hits_n_.load(std::memory_order_relaxed);
-  s.surrogate_fallbacks =
-      surrogate_fallbacks_n_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -820,10 +686,6 @@ std::size_t DesignStore::entries() const {
   count(libraries_);
   count(delays_);
   count(surfaces_);
-  {
-    std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    n += surrogates_.size();
-  }
   return n;
 }
 

@@ -26,18 +26,12 @@
 // design_store.cpp), so a stale-but-well-formed record degrades to a cold
 // miss, never a wrong hit.
 //
-// Record payloads (kinds 1-5) carry the entry plus the key material needed
+// Record payloads (kinds 1-4) carry the entry plus the key material needed
 // for that re-verification; decode helpers below are the single source of
 // truth for their layout. Payload layout changes require bumping
-// kStoreFormatVersion.
-//
-// Surrogate records (kind 5, no version bump — old binaries drop the
-// unknown kind as corrupt, a cold miss) carry a trained surrogate model
-// blob (src/surrogate) plus the key digests of the (library, AgingParams,
-// StaOptions) family it serves. The blob carries its own inner content
-// checksum, so a bit-flipped weight behind a fixed-up record checksum
-// still fails decode: a damaged model can only ever degrade to exact
-// fallback, never answer wrongly within bound.
+// kStoreFormatVersion. Any other kind, including the retired kind 5 (see
+// RecordKind), is dropped on load like a corrupt record: the rest of the
+// file still loads, and the next save() does not carry it.
 //
 // Mechanism-set extension (no version bump): records built from a BTI-only
 // AgingParams encode the historic 11-double BtiParams block and nothing
@@ -79,12 +73,14 @@ inline constexpr std::size_t kHeaderSize = 28;
 /// sanitizer mode. Files are only trusted within one fingerprint.
 std::uint64_t build_fingerprint();
 
+/// Kind 5 is retired: it held the learned aging surrogate model, which was
+/// removed. Stores saved before the removal may still contain such records;
+/// load_store_file drops them, so the number must never be reused.
 enum class RecordKind : std::uint32_t {
   netlist = 1,
   aged_library = 2,
   sta_delay = 3,
   surface = 4,
-  surrogate = 5,
 };
 
 const char* to_string(RecordKind kind);
@@ -153,17 +149,6 @@ struct StaDelayPayload {
 };
 std::string encode_sta_delay_payload(const StaDelayPayload& p);
 StaDelayPayload decode_sta_delay_payload(const std::string& payload);
-
-struct SurrogatePayload {
-  std::uint64_t lib_fp = 0;
-  std::uint64_t params_key = 0;  ///< key_of(AgingParams)
-  std::uint64_t sta_key = 0;     ///< key_of(StaOptions)
-  /// surrogate::SurrogateModel::encode() bytes, decoded by the store layer
-  /// (the blob's inner checksum is what the decoder verifies there).
-  std::string model_blob;
-};
-std::string encode_surrogate_payload(const SurrogatePayload& p);
-SurrogatePayload decode_surrogate_payload(const std::string& payload);
 
 struct SurfacePayload {
   std::uint64_t lib_fp = 0;

@@ -264,7 +264,7 @@ class Parser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return fail("bad \\u escape");
           }
-          // UTF-8 encode (no surrogate-pair handling; our own output never
+          // UTF-8 encode (no UTF-16 pair handling; our own output never
           // emits astral-plane escapes).
           if (code < 0x80) {
             out += static_cast<char>(code);

@@ -298,6 +298,40 @@ int scenario_malformed(const ChaosOptions& opts) {
 // identical requests must dedup onto one computation. Every completed
 // response must be bit-identical to its cold reference.
 
+/// Sends `blocker` to the storm server's single worker and returns its
+/// connection once the server's own gauges show it executing: in flight,
+/// nothing queued. A storm fired next then meets a busy worker and an empty
+/// queue however late its clients get scheduled, so neither shedding nor
+/// dedup races against how fast the first storm request is served.
+int park_blocker(const Server& server, const CharacterizeRequest& blocker) {
+  std::string err;
+  const int fd = connect_endpoint(server.endpoint(), &err);
+  require(fd >= 0, "blocker connect: " + err);
+  send_all(fd, encode_frame({MsgType::characterize, 999, 0,
+                             encode_request(blocker)}));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    const StatsResponse s = server.stats_response();
+    if (s.inflight == 1 && s.queue_depth == 0) return fd;
+    require(std::chrono::steady_clock::now() < give_up,
+            "blocker never started executing");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A slow storm blocker: all 32 precision points of a 32-bit multiplier,
+/// about 0.2 s of work on one core — far longer than six client connects.
+/// Each storm gets its own architecture, so the second blocker is not a
+/// store hit on the first one's surface.
+CharacterizeRequest blocker_request(MultArch arch) {
+  CharacterizeRequest req = small_request(32);
+  req.spec.kind = ComponentKind::multiplier;
+  req.spec.mult_arch = arch;
+  req.min_precision = 1;
+  return req;
+}
+
 int scenario_storm(const ChaosOptions& opts) {
   ServerOptions sopts = base_options();
   sopts.workers = 1;
@@ -305,6 +339,9 @@ int scenario_storm(const ChaosOptions& opts) {
   sopts.retry_hint_ms = 20;
   TestServer ts(sopts);
 
+  // While the blocker runs, the 2-slot queue takes two of the six distinct
+  // requests and sheds the others.
+  int blocker_fd = park_blocker(ts.server, blocker_request(MultArch::array));
   constexpr int kClients = 6;
   std::vector<std::thread> threads;
   std::vector<std::string> errors(kClients);
@@ -328,6 +365,7 @@ int scenario_storm(const ChaosOptions& opts) {
     });
   }
   for (std::thread& t : threads) t.join();
+  close_fd(blocker_fd);
   for (int i = 0; i < kClients; ++i) {
     require(errors[i].empty(),
             "storm client " + std::to_string(i) + ": " + errors[i]);
@@ -340,21 +378,9 @@ int scenario_storm(const ChaosOptions& opts) {
                         "not exercised");
 
   // Identical storm: one request from many clients at once must compute
-  // once and fan the result out. To make the overlap deterministic (not a
-  // race against how fast one computation finishes), first park a slow
-  // blocker on the single worker; the identical requests then all arrive
-  // while their job is still queued behind it.
-  CharacterizeRequest blocker = small_request(32);
-  blocker.min_precision = 1;  // 32 points: reliably outlasts six connects
-  std::string berr;
-  const int blocker_fd = connect_endpoint(ts.server.endpoint(), &berr);
-  require(blocker_fd >= 0, "blocker connect: " + berr);
-  send_all(blocker_fd, encode_frame({MsgType::characterize, 999, 0,
-                                     encode_request(blocker)}));
-  // Brief pause so the worker has picked the blocker up — kept much
-  // shorter than the blocker's compute time, so it is still running (and
-  // the identical job still queued behind it) when the storm fires.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // once and fan the result out. Behind a parked blocker, the identical
+  // requests all arrive while their job is still queued.
+  blocker_fd = park_blocker(ts.server, blocker_request(MultArch::wallace));
 
   const CharacterizeRequest same = small_request(10);
   threads.clear();

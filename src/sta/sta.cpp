@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include "engine/context.hpp"
 #include "obs/metrics.hpp"
@@ -234,9 +232,6 @@ StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
 IncrementalSta::IncrementalSta(const Netlist& nl, StaOptions options,
                                const Context* ctx)
     : nl_(&nl), sta_(nl, options, ctx) {
-  const char* env = std::getenv("AAPX_STA_FULL");
-  full_override_ =
-      env != nullptr && *env != '\0' && std::string_view(env) != "0";
   obs::MetricsRegistry& registry =
       ctx != nullptr ? ctx->metrics() : obs::metrics();
   hits_ = &registry.counter("engine.sta.incremental.hits");
@@ -278,7 +273,7 @@ double IncrementalSta::max_delay(const DegradationAwareLibrary* aged,
   }
 
   last_dirty_gates_ = 0;
-  if (full_override_ || !superset) {
+  if (!superset) {
     full_fallbacks_->add();
     gd_ = std::move(gd);
     blocked_ = req;

@@ -128,9 +128,9 @@ class Sta {
 /// reproduces the full propagation bit-exactly.
 ///
 /// Queries that cannot be served incrementally — the first one, a changed
-/// delay scenario (different aged library/stress), a shrinking or disjoint
-/// truncated set, or the AAPX_STA_FULL=1 escape hatch — fall back to a full
-/// propagation and are counted in engine.sta.incremental.full_fallbacks.
+/// delay scenario (different aged library/stress), or a shrinking or
+/// disjoint truncated set — fall back to a full propagation and are counted
+/// in engine.sta.incremental.full_fallbacks.
 /// Not thread-safe; callers sequence queries (the sweep is serial anyway).
 class IncrementalSta {
  public:
@@ -157,7 +157,6 @@ class IncrementalSta {
 
   const Netlist* nl_;
   Sta sta_;  ///< delay-model provider (gate_delays) and reference options
-  bool full_override_;  ///< AAPX_STA_FULL=1: always take the full path
   /// Per-gate PI-dependency masks, gate-major [gid * mask_words_ + w]:
   /// bit p set iff the gate lies in the fanout cone of primary input p.
   /// Built lazily on the first incremental query.

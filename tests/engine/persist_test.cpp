@@ -300,5 +300,46 @@ TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {
   EXPECT_EQ(ctx.store().stats().delay_misses, 1u);
 }
 
+TEST_F(PersistTest, RetiredSurrogateRecordKindIsDroppedOnLoad) {
+  const Warmed cold = warm_and_save();
+  const std::string saved = read_bytes(path_);
+
+  // A store saved by an older binary may hold a kind-5 (learned surrogate
+  // model) record next to the exact ones. Append one, well framed and
+  // checksummed, so only its kind can reject it.
+  engine::StoreFileData data = engine::load_store_file(path_);
+  ASSERT_TRUE(data.warnings.empty());
+  const std::size_t exact_records = data.records.size();
+  data.records.push_back(
+      {static_cast<engine::RecordKind>(5), 1, std::string(64, '\x5a')});
+  ASSERT_GT(engine::write_store_file(path_, data.records), 0u);
+
+  const engine::StoreFileData loaded = engine::load_store_file(path_);
+  EXPECT_TRUE(loaded.header_ok);
+  EXPECT_EQ(loaded.records.size(), exact_records);
+  EXPECT_EQ(loaded.records_dropped, 1u);
+  ASSERT_EQ(loaded.warnings.size(), 1u);
+  EXPECT_NE(loaded.warnings[0].find("unknown record kind 5"),
+            std::string::npos)
+      << loaded.warnings[0];
+
+  // Every other record still serves its query.
+  engine::DesignStore::Stats stats;
+  const Warmed warm = replay(/*open_store=*/true, &stats);
+  expect_bit_identical(cold, warm);
+  EXPECT_EQ(stats.misses(), 0u);
+
+  // The next save does not carry the retired record: the file is the one
+  // the exact records alone produce, byte for byte.
+  const std::string resave_path = path_ + ".resave";
+  {
+    Context ctx;
+    ctx.store().open(path_);
+    ASSERT_TRUE(ctx.store().save(resave_path));
+  }
+  EXPECT_EQ(read_bytes(resave_path), saved);
+  std::remove(resave_path.c_str());
+}
+
 }  // namespace
 }  // namespace aapx

@@ -2,12 +2,11 @@
 // every IncrementalSta answer must be bit-identical to a from-scratch
 // Sta::run_truncated over the same netlist, truncation set and scenario,
 // whatever the query history (monotone sweeps, scenario switches,
-// non-monotone resets, the AAPX_STA_FULL escape hatch).
+// non-monotone resets).
 #include "sta/sta.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -131,26 +130,6 @@ TEST_F(IncrementalStaTest, DirtyConeIsExactlyTheFanoutCone) {
   const double only_a = inc.max_delay(nullptr, nullptr, {b, a});
   EXPECT_EQ(inc.last_dirty_gates(), 5u);  // then a's chain
   EXPECT_EQ(only_a, 0.0);                 // nothing arrives anywhere
-}
-
-TEST_F(IncrementalStaTest, EscapeHatchForcesFullPathSameValues) {
-  const Netlist nl = make(ComponentKind::adder, 10);
-  const Sta sta(nl);
-  std::vector<double> expected;
-  for (int tb = 0; tb < 6; ++tb) {
-    expected.push_back(
-        sta.run_truncated(nullptr, nullptr, low_bits(nl, tb)).max_delay);
-  }
-  ::setenv("AAPX_STA_FULL", "1", 1);
-  IncrementalSta inc(nl);
-  ::unsetenv("AAPX_STA_FULL");
-  for (int tb = 0; tb < 6; ++tb) {
-    EXPECT_EQ(inc.max_delay(nullptr, nullptr, low_bits(nl, tb)),
-              expected[static_cast<std::size_t>(tb)])
-        << "tb=" << tb;
-    // The escape hatch takes the full path every time.
-    EXPECT_EQ(inc.last_dirty_gates(), 0u);
-  }
 }
 
 TEST_F(IncrementalStaTest, RepeatQueryServedFromCachedArrivals) {

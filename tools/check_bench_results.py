@@ -41,10 +41,9 @@ IGNORED_FIELDS = {
 
 # Field-name prefixes with the same timing-dependent character: the serve
 # bench reports queries-per-second as qps_<phase>_<clients> and its
-# mid-pass admin-scrape count as scrapes_<clients>, the surrogate bench
-# reports its exact-vs-fast-path ratio as speedup_<stat>, and the cost
-# breakdown benches report per-phase seconds as *_s.
-IGNORED_PREFIXES = ("qps_", "scrapes_", "speedup_")
+# mid-pass admin-scrape count as scrapes_<clients>, and the cost breakdown
+# benches report per-phase seconds as *_s.
+IGNORED_PREFIXES = ("qps_", "scrapes_")
 
 
 def is_timing_suffix(key):
