@@ -7,8 +7,14 @@
 namespace aapx {
 
 CellId CellLibrary::add(Cell cell) {
+  const auto fn = static_cast<std::size_t>(cell.fn);
   cells_.push_back(std::move(cell));
-  return static_cast<CellId>(cells_.size() - 1);
+  const auto id = static_cast<CellId>(cells_.size() - 1);
+  if (fn >= smallest_.size()) smallest_.resize(fn + 1, kInvalidCell);
+  // Strict `<`: among equal areas the first-added cell stays the smallest.
+  CellId& best = smallest_[fn];
+  if (best == kInvalidCell || cells_[id].area < cells_[best].area) best = id;
+  return id;
 }
 
 const Cell& CellLibrary::cell(CellId id) const {
@@ -33,13 +39,8 @@ std::optional<CellId> CellLibrary::find(LogicFn fn, int drive) const {
 }
 
 CellId CellLibrary::smallest(LogicFn fn) const {
-  CellId best = kInvalidCell;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].fn != fn) continue;
-    if (best == kInvalidCell || cells_[i].area < cells_[best].area) {
-      best = static_cast<CellId>(i);
-    }
-  }
+  const auto f = static_cast<std::size_t>(fn);
+  const CellId best = f < smallest_.size() ? smallest_[f] : kInvalidCell;
   if (best == kInvalidCell) {
     throw std::out_of_range("CellLibrary::smallest: no cell for " + to_string(fn));
   }

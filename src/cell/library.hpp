@@ -35,7 +35,8 @@ class CellLibrary {
   /// Finds the cell implementing `fn` at the given drive strength.
   std::optional<CellId> find(LogicFn fn, int drive) const;
 
-  /// Cheapest (smallest-area) cell implementing `fn`.
+  /// Cheapest (smallest-area) cell implementing `fn`; the earliest-added one
+  /// among equal areas. O(1): add() maintains a per-function table.
   CellId smallest(LogicFn fn) const;
 
   /// All drive variants of `fn`, sorted ascending by drive strength.
@@ -48,6 +49,7 @@ class CellLibrary {
 
  private:
   std::vector<Cell> cells_;
+  std::vector<CellId> smallest_;  ///< per LogicFn value, kInvalidCell if none
   DffSpec dff_;
 };
 

@@ -13,6 +13,15 @@
 #include "util/parallel.hpp"
 
 namespace aapx {
+namespace {
+
+/// Stimulus-dependent scenarios: timed on a measured stress profile, never
+/// through the store's spec-keyed caches.
+bool is_measured(const AgingScenario& s) {
+  return !s.is_fresh() && s.mode == StressMode::measured;
+}
+
+}  // namespace
 
 ComponentCharacterizer::ComponentCharacterizer(const Context& ctx,
                                                const CellLibrary& lib,
@@ -91,7 +100,7 @@ ComponentCharacterization ComponentCharacterizer::characterize(
           "techniques restructure logic rather than starve operand bits)");
     }
     for (const AgingScenario& s : scenarios) {
-      if (!s.is_fresh() && s.mode == StressMode::measured) {
+      if (is_measured(s)) {
         throw std::invalid_argument(
             "characterize: incremental_sta cannot serve measured-mode "
             "scenarios (their per-gate stress belongs to a re-synthesized "
@@ -111,7 +120,7 @@ ComponentCharacterization ComponentCharacterizer::characterize(
   // surface.
   bool cacheable = true;
   for (const AgingScenario& s : scenarios) {
-    if (!s.is_fresh() && s.mode == StressMode::measured) cacheable = false;
+    if (is_measured(s)) cacheable = false;
   }
   ComponentCharacterization result;
   if (cacheable) {
@@ -192,20 +201,27 @@ ComponentCharacterization ComponentCharacterizer::sweep(
 
     PrecisionPoint point;
     point.precision = k;
-    point.fresh_delay = store.aged_sta_delay(*lib_, spec, model_,
-                                             StressMode::worst, 0.0,
-                                             options_.sta);
     const NetlistStats stats = compute_stats(nl);
     point.area = stats.cell_area;
     point.gates = stats.gates;
-    point.aged_delay.reserve(scenarios.size());
+    // The fresh query and every store-cacheable scenario go to the store as
+    // one batch, so the point's misses share one Sta (one pass of fresh
+    // per-gate delays).
+    std::vector<AgingScenario> batch{AgingScenario::fresh()};
     for (const AgingScenario& s : scenarios) {
-      if (!s.is_fresh() && s.mode == StressMode::measured) {
+      if (!is_measured(s)) batch.push_back(s);
+    }
+    const std::vector<double> delays =
+        store.aged_sta_delays(*lib_, spec, model_, batch, options_.sta);
+    point.fresh_delay = delays.front();
+    point.aged_delay.reserve(scenarios.size());
+    std::size_t next = 1;
+    for (const AgingScenario& s : scenarios) {
+      if (is_measured(s)) {
         const Sta sta(nl, options_.sta, ctx_);
         point.aged_delay.push_back(aged_delay_with(sta, nl, s, stimulus));
       } else {
-        point.aged_delay.push_back(store.aged_sta_delay(
-            *lib_, spec, model_, s.mode, s.years, options_.sta));
+        point.aged_delay.push_back(delays[next++]);
       }
     }
     result.points[i] = std::move(point);

@@ -224,114 +224,120 @@ const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
   return *it->second->library;
 }
 
+std::optional<DesignStore::DelayEntry> DesignStore::find_delay(
+    std::uint64_t key, std::uint64_t netlist_key, std::uint64_t scenario_key) {
+  Shard<DelayEntry>& shard = delays_[shard_of(key)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.entries.find(key);
+  if (it != shard.entries.end()) {
+    const DelayEntry& e = *it->second;
+    if (e.netlist_key != netlist_key || e.scenario_key != scenario_key) {
+      throw std::logic_error("DesignStore: delay key collision");
+    }
+    delay_hits_->add();
+    return e;
+  }
+  if (auto blob = take_staged(
+          static_cast<std::uint32_t>(RecordKind::sta_delay), key)) {
+    try {
+      const StaDelayPayload p = decode_sta_delay_payload(*blob);
+      if (p.netlist_key == netlist_key && p.scenario_key == scenario_key) {
+        delay_hits_->add();
+        persist_hits_->add();
+        auto entry = std::make_unique<DelayEntry>(
+            DelayEntry{netlist_key, scenario_key, p.delay, p.gates});
+        return *shard.entries.emplace(key, std::move(entry)).first->second;
+      }
+      warn_record_dropped("sta_delay", key, "stale key material");
+    } catch (const std::exception& e) {
+      warn_record_dropped("sta_delay", key, e.what());
+    }
+    persist_records_dropped_->add();
+  }
+  return std::nullopt;
+}
+
+void DesignStore::put_delay(std::uint64_t key, const DelayEntry& entry) {
+  Shard<DelayEntry>& shard = delays_[shard_of(key)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.entries.emplace(key, std::make_unique<DelayEntry>(entry));
+}
+
 double DesignStore::aged_sta_delay(const CellLibrary& lib,
                                    const ComponentSpec& spec,
                                    const AgingModel& model, StressMode mode,
                                    double years, const StaOptions& sta) {
-  if (mode == StressMode::measured) {
-    throw std::invalid_argument(
-        "DesignStore::aged_sta_delay: measured-mode delays are "
-        "stimulus-dependent and not cacheable by spec");
-  }
+  const AgingScenario scenario{mode, years};
+  return aged_sta_delays(lib, spec, model, {&scenario, 1}, sta).front();
+}
+
+std::vector<double> DesignStore::aged_sta_delays(
+    const CellLibrary& lib, const ComponentSpec& spec, const AgingModel& model,
+    std::span<const AgingScenario> scenarios, const StaOptions& sta) {
   const std::uint64_t netlist_key =
       Hasher{}.u64(fingerprint(lib)).u64(key_of(spec)).digest();
-  // Fresh timing does not depend on the aging model or stress mode; keying
-  // it as plain "fresh" lets every model share one entry.
-  Hasher scenario;
-  if (years <= 0.0) {
-    scenario.str("fresh");
-  } else {
-    scenario.u64(key_of(model)).i32(static_cast<int>(mode)).f64(years);
-  }
-  const std::uint64_t scenario_key = scenario.u64(key_of(sta)).digest();
-  const std::uint64_t key = Hasher{}
-                                .u64(kTagDelay)
-                                .u64(netlist_key)
-                                .u64(scenario_key)
-                                .digest();
-
-  Shard<DelayEntry>& shard = delays_[shard_of(key)];
-  {
-    bool hit = false;
-    std::uint64_t gates = 0;
-    double delay = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        const DelayEntry& e = *it->second;
-        if (e.netlist_key != netlist_key || e.scenario_key != scenario_key) {
-          throw std::logic_error("DesignStore: delay key collision");
-        }
-        delay_hits_->add();
-        hit = true;
-        gates = e.gates;
-        delay = e.delay;
-      } else if (auto blob = take_staged(
-                     static_cast<std::uint32_t>(RecordKind::sta_delay), key)) {
-        try {
-          const StaDelayPayload p = decode_sta_delay_payload(*blob);
-          if (p.netlist_key == netlist_key && p.scenario_key == scenario_key) {
-            delay_hits_->add();
-            persist_hits_->add();
-            auto entry = std::make_unique<DelayEntry>();
-            entry->netlist_key = netlist_key;
-            entry->scenario_key = scenario_key;
-            entry->delay = p.delay;
-            entry->gates = p.gates;
-            shard.entries.emplace(key, std::move(entry));
-            hit = true;
-            gates = p.gates;
-            delay = p.delay;
-          } else {
-            warn_record_dropped("sta_delay", key, "stale key material");
-            persist_records_dropped_->add();
-          }
-        } catch (const std::exception& e) {
-          warn_record_dropped("sta_delay", key, e.what());
-          persist_records_dropped_->add();
-        }
-      }
+  std::vector<double> delays;
+  delays.reserve(scenarios.size());
+  // Built on the first miss and shared by the rest: the fresh per-gate
+  // delays (NLDM lookups at every gate's load) are computed once per batch.
+  std::optional<Sta> engine;
+  for (const AgingScenario& s : scenarios) {
+    if (s.mode == StressMode::measured) {
+      throw std::invalid_argument(
+          "DesignStore::aged_sta_delay: measured-mode delays are "
+          "stimulus-dependent and not cacheable by spec");
     }
-    if (hit) {
-      log_delay_query(years > 0.0, gates, delay);
-      return delay;
-    }
-  }
-  delay_misses_->add();
-  count_persist_miss();
-  double delay;
-  std::uint64_t gates;
-  {
-    // Compute outside the lock — netlist()/aged_library() take their own
-    // family locks and an STA run is too long to serialize a shard on. A
-    // racing duplicate computes the identical value; first insert wins.
-    // The fill runs off the serial spine: whether it executes at all depends
-    // on process-wide cache history, so the Sta run must not emit its own
-    // sta_query record (log_delay_query below reports the query instead,
-    // identically for hits and misses).
-    const OffSpineGuard off_spine;
-    const Netlist& nl = netlist(lib, spec);
-    const Sta sta_engine(nl, sta, ctx_);
-    gates = static_cast<std::uint64_t>(nl.num_gates());
-    if (years <= 0.0) {
-      delay = sta_engine.run_fresh().max_delay;
+    // Fresh timing does not depend on the aging model or stress mode; keying
+    // it as plain "fresh" lets every model share one entry.
+    const bool aged = s.years > 0.0;
+    Hasher scenario;
+    if (!aged) {
+      scenario.str("fresh");
     } else {
-      const DegradationAwareLibrary& aged = aged_library(lib, model, years);
-      const StressProfile stress =
-          StressProfile::uniform(mode, nl.num_gates());
-      delay = sta_engine.run_aged(aged, stress).max_delay;
+      scenario.u64(key_of(model)).i32(static_cast<int>(s.mode)).f64(s.years);
     }
-    auto entry = std::make_unique<DelayEntry>();
-    entry->netlist_key = netlist_key;
-    entry->scenario_key = scenario_key;
-    entry->delay = delay;
-    entry->gates = gates;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(key, std::move(entry));
+    const std::uint64_t scenario_key = scenario.u64(key_of(sta)).digest();
+    const std::uint64_t key = Hasher{}
+                                  .u64(kTagDelay)
+                                  .u64(netlist_key)
+                                  .u64(scenario_key)
+                                  .digest();
+    if (const std::optional<DelayEntry> hit =
+            find_delay(key, netlist_key, scenario_key)) {
+      log_delay_query(aged, hit->gates, hit->delay);
+      delays.push_back(hit->delay);
+      continue;
+    }
+    delay_misses_->add();
+    count_persist_miss();
+    DelayEntry entry{netlist_key, scenario_key, 0.0, 0};
+    {
+      // Compute outside the shard lock — netlist()/aged_library() take their
+      // own family locks and an STA run is too long to serialize a shard on.
+      // A racing duplicate computes the identical value; first insert wins.
+      // The fill runs off the serial spine: whether it executes at all
+      // depends on process-wide cache history, so the Sta run must not emit
+      // its own sta_query record (log_delay_query below reports the query
+      // instead, identically for hits and misses).
+      const OffSpineGuard off_spine;
+      const Netlist& nl = netlist(lib, spec);
+      if (!engine) engine.emplace(nl, sta, ctx_);
+      entry.gates = static_cast<std::uint64_t>(nl.num_gates());
+      if (!aged) {
+        entry.delay = engine->run_fresh().max_delay;
+      } else {
+        const DegradationAwareLibrary& aged_lib =
+            aged_library(lib, model, s.years);
+        const StressProfile stress =
+            StressProfile::uniform(s.mode, nl.num_gates());
+        entry.delay = engine->run_aged(aged_lib, stress).max_delay;
+      }
+      put_delay(key, entry);
+    }
+    log_delay_query(aged, entry.gates, entry.delay);
+    delays.push_back(entry.delay);
   }
-  log_delay_query(years > 0.0, gates, delay);
-  return delay;
+  return delays;
 }
 
 double DesignStore::truncated_sta_delay(
@@ -361,69 +367,22 @@ double DesignStore::truncated_sta_delay(
                                 .u64(netlist_key)
                                 .u64(scenario_key)
                                 .digest();
-
-  Shard<DelayEntry>& shard = delays_[shard_of(key)];
-  {
-    bool hit = false;
-    double delay = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        const DelayEntry& e = *it->second;
-        if (e.netlist_key != netlist_key || e.scenario_key != scenario_key) {
-          throw std::logic_error("DesignStore: delay key collision");
-        }
-        delay_hits_->add();
-        hit = true;
-        delay = e.delay;
-      } else if (auto blob = take_staged(
-                     static_cast<std::uint32_t>(RecordKind::sta_delay), key)) {
-        try {
-          const StaDelayPayload p = decode_sta_delay_payload(*blob);
-          if (p.netlist_key == netlist_key && p.scenario_key == scenario_key) {
-            delay_hits_->add();
-            persist_hits_->add();
-            auto entry = std::make_unique<DelayEntry>();
-            entry->netlist_key = netlist_key;
-            entry->scenario_key = scenario_key;
-            entry->delay = p.delay;
-            entry->gates = p.gates;
-            shard.entries.emplace(key, std::move(entry));
-            hit = true;
-            delay = p.delay;
-          } else {
-            warn_record_dropped("sta_delay", key, "stale key material");
-            persist_records_dropped_->add();
-          }
-        } catch (const std::exception& e) {
-          warn_record_dropped("sta_delay", key, e.what());
-          persist_records_dropped_->add();
-        }
-      }
-    }
-    if (hit) {
-      log_delay_query(years > 0.0, gates, delay);
-      return delay;
-    }
+  if (const std::optional<DelayEntry> hit =
+          find_delay(key, netlist_key, scenario_key)) {
+    log_delay_query(years > 0.0, gates, hit->delay);
+    return hit->delay;
   }
   delay_misses_->add();
   count_persist_miss();
   double delay;
   {
-    // Off the serial spine for the same reason as aged_sta_delay: whether
+    // Off the serial spine for the same reason as aged_sta_delays: whether
     // the compute callback runs depends on cache history, so nothing inside
     // it may emit run-log records; the log_delay_query below documents the
     // query identically for hits and misses.
     const OffSpineGuard off_spine;
     delay = compute();
-    auto entry = std::make_unique<DelayEntry>();
-    entry->netlist_key = netlist_key;
-    entry->scenario_key = scenario_key;
-    entry->delay = delay;
-    entry->gates = gates;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(key, std::move(entry));
+    put_delay(key, DelayEntry{netlist_key, scenario_key, delay, gates});
   }
   log_delay_query(years > 0.0, gates, delay);
   return delay;

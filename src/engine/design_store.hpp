@@ -51,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,18 @@ class DesignStore {
   double aged_sta_delay(const CellLibrary& lib, const ComponentSpec& spec,
                         const AgingModel& model, StressMode mode, double years,
                         const StaOptions& sta);
+
+  /// Batch form of aged_sta_delay over one spec: resolves `scenarios` in
+  /// order exactly as that many single queries would — same keys, hit/miss
+  /// counters, insertions and sta_query records — and returns their delays
+  /// in order. The misses share one Sta, built on the first of them, so
+  /// the netlist's fresh per-gate delays are computed once per batch
+  /// instead of once per corner. aged_sta_delay is the one-element call.
+  std::vector<double> aged_sta_delays(const CellLibrary& lib,
+                                      const ComponentSpec& spec,
+                                      const AgingModel& model,
+                                      std::span<const AgingScenario> scenarios,
+                                      const StaOptions& sta);
 
   /// Memoized max-delay of the *incremental boundary-condition family*:
   /// `base` (full precision) analyzed with its `truncated_bits` lowest
@@ -215,6 +228,15 @@ class DesignStore {
   using Family = std::array<Shard<Entry>, kShards>;
 
   static std::size_t shard_of(std::uint64_t key) { return key % kShards; }
+
+  /// Hit path of both delay families: the in-memory entry, else a staged
+  /// disk record (re-verified and materialized). Counts delay/persist hits
+  /// and dropped records; nullopt on a genuine miss (never counts misses).
+  std::optional<DelayEntry> find_delay(std::uint64_t key,
+                                       std::uint64_t netlist_key,
+                                       std::uint64_t scenario_key);
+  /// Inserts a computed delay; a racing duplicate's first insert wins.
+  void put_delay(std::uint64_t key, const DelayEntry& entry);
 
   /// Emits the sta_query run-log record for one delay *query* (hit or miss
   /// alike — the record documents the logical query, so the log stays

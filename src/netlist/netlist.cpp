@@ -70,10 +70,8 @@ GateId Netlist::add_gate_driving(CellId cell, std::span<const NetId> ins,
   if (net_driver_[output] != kInvalidGate) {
     throw std::invalid_argument("add_gate_driving: output already driven");
   }
-  for (const NetId pi : inputs_) {
-    if (pi == output) {
-      throw std::invalid_argument("add_gate_driving: output is a primary input");
-    }
+  if (pi_index_[output] != kInvalidNet) {
+    throw std::invalid_argument("add_gate_driving: output is a primary input");
   }
   Gate g;
   g.cell = cell;
@@ -178,7 +176,10 @@ void Netlist::set_output_bus(const std::string& name, std::vector<NetId> nets) {
 }
 
 const std::vector<GateId>& Netlist::topo_order() const {
-  if (!topo_cache_.empty() || gates_.empty()) return topo_cache_;
+  return topo_cache_.get([this] { return build_topo_order(); });
+}
+
+std::vector<GateId> Netlist::build_topo_order() const {
   std::vector<int> pending(gates_.size(), 0);
   std::vector<GateId> ready;
   for (std::size_t g = 0; g < gates_.size(); ++g) {
@@ -191,19 +192,19 @@ const std::vector<GateId>& Netlist::topo_order() const {
     pending[g] = unresolved;
     if (unresolved == 0) ready.push_back(static_cast<GateId>(g));
   }
-  topo_cache_.reserve(gates_.size());
+  std::vector<GateId> order;
+  order.reserve(gates_.size());
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const GateId g = ready[head];
-    topo_cache_.push_back(g);
+    order.push_back(g);
     for (const NetReader& r : net_readers_[gates_[g].fanout]) {
       if (--pending[r.gate] == 0) ready.push_back(r.gate);
     }
   }
-  if (topo_cache_.size() != gates_.size()) {
-    topo_cache_.clear();
+  if (order.size() != gates_.size()) {
     throw std::logic_error("Netlist::topo_order: combinational cycle detected");
   }
-  return topo_cache_;
+  return order;
 }
 
 double Netlist::net_load(NetId net) const {

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -110,7 +111,12 @@ class Netlist {
   void set_output_bus(const std::string& name, std::vector<NetId> nets);
 
   /// Gates in topological order (drivers before readers). Cached; invalidated
-  /// by construction calls.
+  /// by construction calls. Safe to call from any number of threads at once
+  /// on a netlist that nobody is mutating, on every construction path
+  /// (synthesis, parsers, store records): the first caller builds the order
+  /// under a lock and later callers share it, so no reader ever sees a
+  /// partially filled cache. The reference stays valid until the next
+  /// construction call.
   const std::vector<GateId>& topo_order() const;
 
   /// Sum of pin capacitance of all readers of `net` [fF], plus a wire-cap
@@ -132,7 +138,45 @@ class Netlist {
   std::vector<std::string> output_names_;
   std::unordered_map<std::string, std::vector<NetId>> input_buses_;
   std::unordered_map<std::string, std::vector<NetId>> output_buses_;
-  mutable std::vector<GateId> topo_cache_;
+
+  /// Lazily built topo order. The first const caller builds it under the
+  /// mutex while racing callers wait, so every reader sees the one complete
+  /// vector. Copies carry the built order (a copied netlist has the same
+  /// topology). Construction calls clear it without locking: mutation
+  /// already requires that no other thread is reading the netlist.
+  class TopoCache {
+   public:
+    TopoCache() = default;
+    TopoCache(const TopoCache& other) : order_(other.copy()) {}
+    TopoCache& operator=(const TopoCache& other) {
+      if (this != &other) order_ = other.copy();
+      return *this;
+    }
+    // Moving, like any mutation, needs exclusive access: no lock.
+    TopoCache(TopoCache&& other) noexcept : order_(std::move(other.order_)) {}
+    TopoCache& operator=(TopoCache&& other) noexcept {
+      order_ = std::move(other.order_);
+      return *this;
+    }
+    template <typename Build>
+    const std::vector<GateId>& get(const Build& build) const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!order_) order_ = build();
+      return *order_;
+    }
+    void clear() noexcept { order_.reset(); }
+
+   private:
+    std::optional<std::vector<GateId>> copy() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return order_;
+    }
+    mutable std::mutex mutex_;
+    mutable std::optional<std::vector<GateId>> order_;
+  };
+  std::vector<GateId> build_topo_order() const;
+
+  TopoCache topo_cache_;
 };
 
 }  // namespace aapx

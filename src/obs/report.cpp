@@ -197,12 +197,21 @@ const std::map<std::string, std::vector<FieldSpec>>& known_types() {
       {"sweep_point",
        {{"component", true}, {"precision", false}, {"fresh_ps", false}}},
       {"sta_query", {{"kind", true}, {"gates", false}, {"max_delay_ps", false}}},
+      // DesignStore persistence (store file opened / saved).
+      {"store_load", {{"path", true}, {"format", false}}},
+      {"store_save", {{"path", true}, {"format", false}}},
       // Service-layer records (aapx serve per-request logs).
       {"request", {{"msg", true}, {"request_id", false}}},
       {"response", {{"msg", true}, {"request_id", false}}},
       {"cancelled", {{"where", true}, {"reason", true}}},
   };
   return types;
+}
+
+/// Record types no current binary emits that old run logs may still carry.
+/// They validate without a field check, so those logs stay checkable.
+bool is_retired_type(const std::string& type) {
+  return type == "surrogate_query";
 }
 
 }  // namespace
@@ -219,7 +228,13 @@ std::vector<std::string> validate_log_record(const JsonValue& record) {
     return errors;
   }
   const auto it = known_types().find(type->string);
-  if (it == known_types().end()) return errors;  // open schema
+  if (it == known_types().end()) {
+    // Closed schema: a misspelled or unheard-of type is an error.
+    if (!is_retired_type(type->string)) {
+      errors.push_back("unknown record type '" + type->string + "'");
+    }
+    return errors;
+  }
   for (const FieldSpec& spec : it->second) {
     const JsonValue* v = record.find(spec.name);
     if (v == nullptr) {

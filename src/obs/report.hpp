@@ -48,8 +48,9 @@ std::vector<JsonValue> parse_jsonl(std::istream& is,
                                    std::vector<std::string>* errors);
 
 /// Validates one run-log record: must be an object with a string "type";
-/// known types must carry their required fields with the right JSON types
-/// (unknown types are allowed — the schema is open). Empty = valid.
+/// known types must carry their required fields with the right JSON types.
+/// The schema is closed: an unknown type is an error, except for a short
+/// list of retired types that old run logs may carry. Empty = valid.
 std::vector<std::string> validate_log_record(const JsonValue& record);
 
 /// One row of the controller decision timeline (type == "control_event").

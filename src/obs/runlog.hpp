@@ -1,7 +1,7 @@
 // Structured JSONL run log: one JSON object per line, unifying runtime
 // control events, characterizer sweep progress and STA queries under one
-// open schema (every record has a "type"; see docs/ARCHITECTURE.md for the
-// per-type required fields).
+// closed schema (every record has a known "type"; see docs/ARCHITECTURE.md
+// for the per-type required fields).
 //
 // Determinism discipline — the log is part of a run's auditable output and
 // must be byte-identical across reruns and thread counts, so:

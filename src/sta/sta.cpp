@@ -41,6 +41,27 @@ Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
   aged_runs_ = &registry.counter("sta.aged_runs");
   runlog_ = ctx != nullptr ? &ctx->runlog() : &obs::RunLog::instance();
   metrics_ = &registry;
+
+  fresh_.rise.reserve(nl.num_gates());
+  fresh_.fall.reserve(nl.num_gates());
+  const double slew = options_.primary_input_slew;
+  std::vector<char> is_po(nl.num_nets(), 0);
+  for (const NetId po : nl.outputs()) is_po[po] = 1;
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gate = nl.gate(static_cast<GateId>(g));
+    const Cell& cell = nl.lib().cell(gate.cell);
+    // Primary outputs additionally drive the next pipeline stage's registers.
+    double load = nl.net_load(gate.fanout);
+    if (is_po[gate.fanout]) load += options_.primary_output_load;
+    double rise = 0.0;
+    double fall = 0.0;
+    for (const TimingArc& arc : cell.arcs) {
+      rise = std::max(rise, arc.rise_delay.lookup(slew, load));
+      fall = std::max(fall, arc.fall_delay.lookup(slew, load));
+    }
+    fresh_.rise.push_back(rise);
+    fresh_.fall.push_back(fall);
+  }
 }
 
 StaResult Sta::run_fresh() const { return run(nullptr, nullptr); }
@@ -55,55 +76,42 @@ StaResult Sta::run_aged(const DegradationAwareLibrary& aged,
 
 Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
                                  const StressProfile* stress) const {
+  if (aged == nullptr || stress == nullptr) return fresh_;
+  return aged_delays(*aged, *stress);
+}
+
+Sta::GateDelays Sta::aged_delays(const DegradationAwareLibrary& aged,
+                                 const StressProfile& stress) const {
   const Netlist& nl = *nl_;
+  const std::size_t gates = fresh_.rise.size();
   GateDelays gd;
-  gd.rise.reserve(nl.num_gates());
-  gd.fall.reserve(nl.num_gates());
-  const double slew = options_.primary_input_slew;
-  std::vector<char> is_po(nl.num_nets(), 0);
-  for (const NetId po : nl.outputs()) is_po[po] = 1;
+  gd.rise.reserve(gates);
+  gd.fall.reserve(gates);
   // HCI drift is activity-driven, not duty-driven, so it cannot live in the
   // 11x11 stress-factor grids; it multiplies the fall factor per gate here.
   // The counter is resolved only for HCI-enabled models so that BTI-only
   // runs register no new metrics keys.
-  const bool hci =
-      aged != nullptr && stress != nullptr && aged->model().has_hci();
-  obs::Counter* hci_evals =
-      hci ? &metrics_->counter("aging.mechanism.hci.drift_evals") : nullptr;
-  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+  const bool hci = aged.model().has_hci();
+  for (std::size_t g = 0; g < gates; ++g) {
     const auto gid = static_cast<GateId>(g);
-    const Gate& gate = nl.gate(gid);
-    const Cell& cell = nl.lib().cell(gate.cell);
-    // Primary outputs additionally drive the next pipeline stage's registers.
-    double load = nl.net_load(gate.fanout);
-    if (is_po[gate.fanout]) load += options_.primary_output_load;
-
-    double rise_factor = 1.0;
-    double fall_factor = 1.0;
-    if (aged != nullptr && stress != nullptr) {
-      const StressPair sp = stress->gate(gid);
-      rise_factor = aged->rise_factor(gate.cell, sp);
-      fall_factor = aged->fall_factor(gate.cell, sp);
-      if (hci) {
-        // HCI wears the nMOS pull-down network, so only output falls slow
-        // down; the factor composes multiplicatively with the BTI grid's.
-        const double dvth =
-            aged->model().hci_delta_vth(stress->gate_activity(g),
-                                        aged->years()) *
-            cell.aging_sensitivity;
-        fall_factor *= aged->model().delay_factor_from_dvth(dvth);
-      }
+    const CellId cell = nl.gate(gid).cell;
+    const StressPair sp = stress.gate(gid);
+    const double rise_factor = aged.rise_factor(cell, sp);
+    double fall_factor = aged.fall_factor(cell, sp);
+    if (hci) {
+      // HCI wears the nMOS pull-down network, so only output falls slow
+      // down; the factor composes multiplicatively with the BTI grid's.
+      const double dvth =
+          aged.model().hci_delta_vth(stress.gate_activity(g), aged.years()) *
+          nl.lib().cell(cell).aging_sensitivity;
+      fall_factor *= aged.model().delay_factor_from_dvth(dvth);
     }
-    double rise = 0.0;
-    double fall = 0.0;
-    for (const TimingArc& arc : cell.arcs) {
-      rise = std::max(rise, arc.rise_delay.lookup(slew, load));
-      fall = std::max(fall, arc.fall_delay.lookup(slew, load));
-    }
-    gd.rise.push_back(rise * rise_factor);
-    gd.fall.push_back(fall * fall_factor);
+    gd.rise.push_back(fresh_.rise[g] * rise_factor);
+    gd.fall.push_back(fresh_.fall[g] * fall_factor);
   }
-  if (hci_evals != nullptr) hci_evals->add(nl.num_gates());
+  if (hci) {
+    metrics_->counter("aging.mechanism.hci.drift_evals").add(gates);
+  }
   return gd;
 }
 
@@ -156,7 +164,11 @@ StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
   // transition direction, at a nominal boundary slew). This makes the STA
   // max delay a strict upper bound on any simulated settling time, which is
   // the property behind paper Eq. 1: tCP <= tclock implies no timing errors.
-  const GateDelays gd = gate_delays(aged, stress);
+  GateDelays aged_gd;
+  if (aged != nullptr && stress != nullptr) {
+    aged_gd = aged_delays(*aged, *stress);
+  }
+  const GateDelays& gd = aged_gd.rise.empty() ? fresh_ : aged_gd;
 
   StaResult res;
   res.arrival_rise.assign(nets, kNeverArrives);

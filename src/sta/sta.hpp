@@ -54,6 +54,13 @@ struct StaResult {
   double net_arrival(NetId net) const;
 };
 
+/// Snapshot contract: the constructor reads the netlist's cells and net
+/// loads once and keeps each gate's fresh rise/fall delay; every run and
+/// gate_delays() call scales that snapshot (aged: base x factor, the same
+/// floating-point product as computing it per call). A Sta therefore times
+/// the netlist as it was when the Sta was built — after set_gate_cell or any
+/// construction call, build a new Sta (size_for_aging does, per iteration).
+/// The topology is read per run through Netlist::topo_order().
 class Sta {
  public:
   /// `ctx` scopes the instrumentation sinks (run counters, sta_query log
@@ -93,6 +100,9 @@ class Sta {
                          const StressProfile* stress) const;
 
  private:
+  /// Aged scaling of fresh_; only called with aged and stress both set.
+  GateDelays aged_delays(const DegradationAwareLibrary& aged,
+                         const StressProfile& stress) const;
   StaResult run(const DegradationAwareLibrary* aged,
                 const StressProfile* stress) const;
   /// Shared propagation core: `blocked` (per net, may be nullptr) marks
@@ -103,6 +113,7 @@ class Sta {
 
   const Netlist* nl_;
   StaOptions options_;
+  GateDelays fresh_;  ///< construction-time snapshot, see the class comment
   /// Instrumentation handles resolved once at construction against the
   /// context's sinks (a per-instance cache; never static, so each Context's
   /// registry sees its own sta.* counts).

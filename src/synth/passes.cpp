@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <stdexcept>
 #include <vector>
 
@@ -21,42 +21,54 @@ struct Mapped {
 };
 
 /// Emits gates with structural hashing; commutative pins are canonicalized
-/// so AND2(a,b) and AND2(b,a) merge.
+/// so AND2(a,b) and AND2(b,a) merge. The key is a fixed three-slot array
+/// (unused pins hold kInvalidNet) in a hash map, so an emit allocates only
+/// when it creates a gate.
 class GateEmitter {
  public:
-  explicit GateEmitter(Netlist& nl) : nl_(&nl) {}
-
-  NetId emit(LogicFn fn, std::vector<NetId> ins) {
-    canonicalize(fn, ins);
-    const Key key{fn, {ins.size() > 0 ? ins[0] : kInvalidNet,
-                       ins.size() > 1 ? ins[1] : kInvalidNet,
-                       ins.size() > 2 ? ins[2] : kInvalidNet}};
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    NetId out = kInvalidNet;
-    switch (ins.size()) {
-      case 1: out = nl_->mk(fn, ins[0]); break;
-      case 2: out = nl_->mk(fn, ins[0], ins[1]); break;
-      case 3: out = nl_->mk(fn, ins[0], ins[1], ins[2]); break;
-      default: throw std::logic_error("GateEmitter: bad input count");
-    }
-    cache_.emplace(key, out);
-    return out;
+  GateEmitter(Netlist& nl, std::size_t expected_gates) : nl_(&nl) {
+    cache_.reserve(expected_gates);
   }
 
-  NetId emit_inv(NetId a) { return emit(LogicFn::kInv, {a}); }
+  NetId emit(LogicFn fn, NetId a) {
+    return emit(fn, {a, kInvalidNet, kInvalidNet}, 1);
+  }
+  NetId emit(LogicFn fn, NetId a, NetId b) {
+    return emit(fn, {a, b, kInvalidNet}, 2);
+  }
+  NetId emit(LogicFn fn, NetId a, NetId b, NetId c) {
+    return emit(fn, {a, b, c}, 3);
+  }
+  NetId emit_inv(NetId a) { return emit(LogicFn::kInv, a); }
 
  private:
   struct Key {
     LogicFn fn;
     std::array<NetId, 3> ins;
-    bool operator<(const Key& o) const {
-      if (fn != o.fn) return fn < o.fn;
-      return ins < o.ins;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+      std::uint64_t h = static_cast<std::uint64_t>(k.fn);
+      for (const NetId in : k.ins) h = (h ^ in) * kMul;
+      return static_cast<std::size_t>(h ^ (h >> 32));
     }
   };
 
-  static void canonicalize(LogicFn fn, std::vector<NetId>& ins) {
+  NetId emit(LogicFn fn, std::array<NetId, 3> ins, int pins) {
+    canonicalize(fn, ins);
+    const auto [it, inserted] = cache_.try_emplace(Key{fn, ins}, kInvalidNet);
+    if (!inserted) return it->second;
+    switch (pins) {
+      case 1: it->second = nl_->mk(fn, ins[0]); break;
+      case 2: it->second = nl_->mk(fn, ins[0], ins[1]); break;
+      default: it->second = nl_->mk(fn, ins[0], ins[1], ins[2]); break;
+    }
+    return it->second;
+  }
+
+  static void canonicalize(LogicFn fn, std::array<NetId, 3>& ins) {
     switch (fn) {
       case LogicFn::kAnd2:
       case LogicFn::kNand2:
@@ -64,6 +76,8 @@ class GateEmitter {
       case LogicFn::kNor2:
       case LogicFn::kXor2:
       case LogicFn::kXnor2:
+        std::sort(ins.begin(), ins.begin() + 2);
+        break;
       case LogicFn::kAnd3:
       case LogicFn::kNand3:
       case LogicFn::kOr3:
@@ -81,12 +95,12 @@ class GateEmitter {
   }
 
   Netlist* nl_;
-  std::map<Key, NetId> cache_;
+  std::unordered_map<Key, NetId, KeyHash> cache_;
 };
 
 /// Synthesizes an arbitrary 2-variable function given by a 4-bit truth table
 /// (bit index = y*2 + x) over new nets x and y.
-Mapped synth2(GateEmitter& em, Netlist& nl, unsigned tt, NetId x, NetId y) {
+Mapped synth2(GateEmitter& em, unsigned tt, NetId x, NetId y) {
   switch (tt & 0xFu) {
     case 0x0: return {true, false, kInvalidNet};
     case 0xF: return {true, true, kInvalidNet};
@@ -94,24 +108,54 @@ Mapped synth2(GateEmitter& em, Netlist& nl, unsigned tt, NetId x, NetId y) {
     case 0xC: return {false, false, y};                       // f = y
     case 0x5: return {false, false, em.emit_inv(x)};          // !x
     case 0x3: return {false, false, em.emit_inv(y)};          // !y
-    case 0x8: return {false, false, em.emit(LogicFn::kAnd2, {x, y})};
-    case 0xE: return {false, false, em.emit(LogicFn::kOr2, {x, y})};
-    case 0x7: return {false, false, em.emit(LogicFn::kNand2, {x, y})};
-    case 0x1: return {false, false, em.emit(LogicFn::kNor2, {x, y})};
-    case 0x6: return {false, false, em.emit(LogicFn::kXor2, {x, y})};
-    case 0x9: return {false, false, em.emit(LogicFn::kXnor2, {x, y})};
+    case 0x8: return {false, false, em.emit(LogicFn::kAnd2, x, y)};
+    case 0xE: return {false, false, em.emit(LogicFn::kOr2, x, y)};
+    case 0x7: return {false, false, em.emit(LogicFn::kNand2, x, y)};
+    case 0x1: return {false, false, em.emit(LogicFn::kNor2, x, y)};
+    case 0x6: return {false, false, em.emit(LogicFn::kXor2, x, y)};
+    case 0x9: return {false, false, em.emit(LogicFn::kXnor2, x, y)};
     case 0x2:  // x & !y
-      return {false, false, em.emit(LogicFn::kNor2, {em.emit_inv(x), y})};
+      return {false, false, em.emit(LogicFn::kNor2, em.emit_inv(x), y)};
     case 0x4:  // !x & y
-      return {false, false, em.emit(LogicFn::kNor2, {x, em.emit_inv(y)})};
+      return {false, false, em.emit(LogicFn::kNor2, x, em.emit_inv(y))};
     case 0xB:  // x | !y
-      return {false, false, em.emit(LogicFn::kNand2, {em.emit_inv(x), y})};
+      return {false, false, em.emit(LogicFn::kNand2, em.emit_inv(x), y)};
     case 0xD:  // !x | y
-      return {false, false, em.emit(LogicFn::kNand2, {x, em.emit_inv(y)})};
+      return {false, false, em.emit(LogicFn::kNand2, x, em.emit_inv(y))};
     default:
       throw std::logic_error("synth2: unreachable");
   }
-  (void)nl;
+}
+
+/// Per net: 1 iff some primary output is reachable from it.
+std::vector<char> live_nets(const Netlist& nl) {
+  std::vector<char> live(nl.num_nets(), 0);
+  std::vector<NetId> stack(nl.outputs().begin(), nl.outputs().end());
+  for (const NetId o : stack) live[o] = 1;
+  while (!stack.empty()) {
+    const NetId net = stack.back();
+    stack.pop_back();
+    const GateId d = nl.driver(net);
+    if (d == kInvalidGate) continue;
+    const Gate& g = nl.gate(d);
+    const int pins = nl.gate_num_inputs(d);
+    for (int p = 0; p < pins; ++p) {
+      const NetId in = g.fanin[static_cast<std::size_t>(p)];
+      if (!live[in]) {
+        live[in] = 1;
+        stack.push_back(in);
+      }
+    }
+  }
+  return live;
+}
+
+bool has_dead_gates(const Netlist& nl) {
+  const std::vector<char> live = live_nets(nl);
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    if (!live[nl.gate(static_cast<GateId>(g)).fanout]) return true;
+  }
+  return false;
 }
 
 OptimizeResult optimize_once(const Netlist& nl);
@@ -125,19 +169,22 @@ OptimizeResult optimize(const Netlist& nl, const Context* ctx) {
   obs::MetricsRegistry& registry =
       ctx != nullptr ? ctx->metrics() : obs::metrics();
   obs::Counter& calls = registry.counter("optimize.calls");
-  obs::Counter& passes = registry.counter("optimize.passes");
+  obs::Counter& passes = registry.counter("optimize.passes");  // rebuilds
   obs::Counter& removed = registry.counter("optimize.gates_removed");
   calls.add();
-  std::uint64_t pass_count = 1;
   // Constant folding can orphan upstream logic that was still live when the
-  // forward pass visited it, so iterate to a fixpoint (2 passes typical).
+  // forward pass visited it, so rebuild until no dead gate remains (cap 8).
+  // A rebuild of a netlist without dead gates could change nothing but net
+  // numbering: every gate it holds was emitted with const-free inputs as an
+  // INV, a symmetric 2-input function or an all-variable 3-input cell, each
+  // of which re-emits as itself, and structural hashing already merged
+  // duplicates. So the liveness sweep decides the fixpoint exactly where a
+  // confirming rebuild would have kept the same netlist.
   OptimizeResult result = optimize_once(nl);
-  for (int iter = 0; iter < 8; ++iter) {
-    OptimizeResult next = optimize_once(result.netlist);
+  std::uint64_t pass_count = 1;
+  for (int iter = 0; iter < 8 && has_dead_gates(result.netlist); ++iter) {
+    result.netlist = std::move(optimize_once(result.netlist).netlist);
     ++pass_count;
-    if (next.netlist.num_gates() == result.netlist.num_gates()) break;
-    next.gates_removed += result.gates_removed;
-    result = std::move(next);
   }
   result.gates_removed = nl.num_gates() - result.netlist.num_gates();
   passes.add(pass_count);
@@ -151,27 +198,8 @@ OptimizeResult optimize_once(const Netlist& nl) {
   const CellLibrary& lib = nl.lib();
   Netlist out(lib);
 
-  // --- liveness: gates whose output reaches a primary output ---------------
-  std::vector<char> live_net(nl.num_nets(), 0);
-  {
-    std::vector<NetId> stack(nl.outputs().begin(), nl.outputs().end());
-    for (const NetId o : stack) live_net[o] = 1;
-    while (!stack.empty()) {
-      const NetId net = stack.back();
-      stack.pop_back();
-      const GateId d = nl.driver(net);
-      if (d == kInvalidGate) continue;
-      const Gate& g = nl.gate(d);
-      const int pins = nl.gate_num_inputs(d);
-      for (int p = 0; p < pins; ++p) {
-        const NetId in = g.fanin[static_cast<std::size_t>(p)];
-        if (!live_net[in]) {
-          live_net[in] = 1;
-          stack.push_back(in);
-        }
-      }
-    }
-  }
+  // Liveness: gates whose output reaches a primary output.
+  const std::vector<char> live_net = live_nets(nl);
 
   std::vector<Mapped> map(nl.num_nets());
   map[nl.const0()] = {true, false, kInvalidNet};
@@ -194,7 +222,7 @@ OptimizeResult optimize_once(const Netlist& nl) {
     out.set_input_bus(bus_name, std::move(fresh));
   }
 
-  GateEmitter emitter(out);
+  GateEmitter emitter(out, nl.num_gates());
   std::size_t removed = 0;
 
   for (const GateId gid : nl.topo_order()) {
@@ -239,10 +267,10 @@ OptimizeResult optimize_once(const Netlist& nl) {
       result = tt == 0x2u ? Mapped{false, false, var_nets[0]}
                           : Mapped{false, false, emitter.emit_inv(var_nets[0])};
     } else if (num_vars == 2) {
-      result = synth2(emitter, out, tt, var_nets[0], var_nets[1]);
+      result = synth2(emitter, tt, var_nets[0], var_nets[1]);
     } else {
       result = {false, false,
-                emitter.emit(cell.fn, {var_nets[0], var_nets[1], var_nets[2]})};
+                emitter.emit(cell.fn, var_nets[0], var_nets[1], var_nets[2])};
     }
     map[g.fanout] = result;
   }

@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "aging/aging_model.hpp"
 #include "aging/bti_model.hpp"
 #include "cell/library.hpp"
 #include "engine/context.hpp"
 #include "engine/key.hpp"
+#include "obs/runlog.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 
@@ -124,6 +131,83 @@ TEST_F(DesignStoreTest, FreshDelayIsSharedAcrossModels) {
   EXPECT_DOUBLE_EQ(d1, d2);
   EXPECT_EQ(store.stats().delay_misses, 1u);
   EXPECT_EQ(store.stats().delay_hits, 1u);
+}
+
+/// What one context observed while answering a delay workload.
+struct DelayTrace {
+  std::vector<double> delays;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::string log;
+};
+
+/// Runs `queries` on a fresh single-threaded context with its own run log,
+/// after one warming single query, either as one aged_sta_delays batch or
+/// as that many aged_sta_delay calls.
+DelayTrace trace_delays(const CellLibrary& lib, const AgingModel& model,
+                        const std::vector<AgingScenario>& queries, bool batch,
+                        const std::string& log_path) {
+  DelayTrace out;
+  {
+    obs::RunLog log;
+    EXPECT_TRUE(log.open(log_path));
+    Context::Options opt;
+    opt.threads = 1;
+    opt.runlog = &log;
+    const Context ctx(opt);
+    engine::DesignStore& store = ctx.store();
+    const ComponentSpec spec = adder8_trunc2();
+    const StaOptions sta;
+    // A warm entry in the middle of the batch: the batch must report it as
+    // a hit exactly where the single query does.
+    store.aged_sta_delay(lib, spec, model, StressMode::balanced, 10.0, sta);
+    if (batch) {
+      out.delays = store.aged_sta_delays(lib, spec, model, queries, sta);
+    } else {
+      for (const AgingScenario& s : queries) {
+        out.delays.push_back(
+            store.aged_sta_delay(lib, spec, model, s.mode, s.years, sta));
+      }
+    }
+    out.counters = ctx.metrics().snapshot().counters;
+    log.close();
+  }
+  std::ifstream is(log_path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  out.log = ss.str();
+  std::filesystem::remove(log_path);
+  return out;
+}
+
+void expect_batch_matches_singles(const CellLibrary& lib,
+                                  const AgingModel& model) {
+  // Misses, the pre-warmed entry, a fresh query under another mode (the
+  // same key as the first) and a repeat that the batch itself warmed.
+  const std::vector<AgingScenario> queries = {
+      AgingScenario::fresh(), {StressMode::worst, 10.0},
+      {StressMode::balanced, 10.0}, {StressMode::worst, 1.0},
+      {StressMode::balanced, 0.0}, {StressMode::worst, 10.0}};
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  const DelayTrace batch =
+      trace_delays(lib, model, queries, true, dir + "/aapx_delays_batch.jsonl");
+  const DelayTrace singles = trace_delays(lib, model, queries, false,
+                                          dir + "/aapx_delays_single.jsonl");
+  EXPECT_EQ(batch.delays, singles.delays);
+  // Every counter: engine.store.delay_*, netlist/library hits and misses,
+  // sta.aged_runs / sta.fresh_runs and, for HCI, the drift evaluations.
+  EXPECT_EQ(batch.counters, singles.counters);
+  EXPECT_EQ(batch.log, singles.log);
+  EXPECT_NE(batch.log.find("sta_query"), std::string::npos);
+}
+
+TEST_F(DesignStoreTest, BatchDelaysMatchSingleQueries) {
+  expect_batch_matches_singles(lib_, BtiModel{});
+}
+
+TEST_F(DesignStoreTest, BatchDelaysMatchSingleQueriesUnderHci) {
+  AgingParams params;
+  params.mechanisms = {MechanismKind::bti, MechanismKind::hci};
+  expect_batch_matches_singles(lib_, AgingModel(params));
 }
 
 TEST_F(DesignStoreTest, MeasuredModeIsRejected) {

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "engine/persist.hpp"
+#include "sta/sta.hpp"
+#include "sta/variation.hpp"
+#include "synth/components.hpp"
+#include "util/parallel.hpp"
+
 namespace aapx {
 namespace {
 
@@ -124,6 +135,78 @@ TEST_F(NetlistTest, InvalidAccessThrows) {
   EXPECT_THROW(nl.readers(99), std::out_of_range);
   EXPECT_THROW(nl.mark_output(99, "x"), std::out_of_range);
   EXPECT_THROW(nl.add_input_bus("b", 0), std::invalid_argument);
+}
+
+// --- concurrent const readers -----------------------------------------------
+//
+// topo_order() builds its cache on first use. A netlist decoded from a store
+// record starts with an empty cache, so its first readers race to build it;
+// each must still see exactly the serial answer (the published order is
+// immutable and shared, never filled in place).
+
+class DecodedNetlistConcurrencyTest : public ::testing::Test {
+ protected:
+  Netlist decode() const {
+    return engine::decode_netlist_payload(payload_, lib_).netlist;
+  }
+
+  CellLibrary lib_ = make_nangate45_like();
+  ComponentSpec spec_{ComponentKind::multiplier, 16, 0, AdderArch::cla4,
+                      MultArch::array};
+  std::string payload_ =
+      engine::encode_netlist_payload(0, spec_, make_component(lib_, spec_));
+};
+
+TEST_F(DecodedNetlistConcurrencyTest, TopoOrderAndStaFromFourThreads) {
+  const Netlist serial = decode();
+  const std::vector<GateId> want_order = serial.topo_order();
+  const StaResult want = Sta(serial).run_fresh();
+  constexpr int kThreads = 4;
+  for (int rep = 0; rep < 20; ++rep) {
+    const Netlist nl = decode();
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::vector<GateId>> orders(kThreads);
+    std::vector<StaResult> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Start together so the first topo_order() calls overlap.
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        orders[t] = nl.topo_order();
+        results[t] = Sta(nl).run_fresh();
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(orders[t], want_order) << "rep " << rep << " thread " << t;
+      EXPECT_EQ(results[t].max_delay, want.max_delay);
+      EXPECT_EQ(results[t].arrival_rise, want.arrival_rise);
+      EXPECT_EQ(results[t].arrival_fall, want.arrival_fall);
+    }
+  }
+}
+
+TEST_F(DecodedNetlistConcurrencyTest, ZeroSigmaMonteCarloMatchesNominal) {
+  // With both sigmas zero every die is the nominal netlist, and the dies'
+  // longest-path analyses run on pool workers that all read the decoded
+  // netlist's topo order for the first time together.
+  struct ThreadsGuard {
+    ThreadsGuard() { set_num_threads(4); }
+    ~ThreadsGuard() { set_num_threads(0); }
+  } guard;
+  const double nominal = Sta(decode()).run_fresh().max_delay;
+  VariationParams zero;
+  zero.local_sigma = 0.0;
+  zero.global_sigma = 0.0;
+  for (int rep = 0; rep < 100; ++rep) {
+    const Netlist nl = decode();
+    const VariationResult res = MonteCarloSta(nl, zero).run_fresh(64);
+    ASSERT_EQ(res.samples.size(), 64u);
+    for (const double s : res.samples) {
+      ASSERT_EQ(s, nominal) << "rep " << rep;
+    }
+  }
 }
 
 }  // namespace

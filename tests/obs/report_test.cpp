@@ -101,11 +101,30 @@ TEST(ValidateLogRecordTest, EnforcesKnownTypeFields) {
                     "sensor_years":1.0,"trigger":3,"outcome":"committed",
                     "from_precision":11,"to_precision":10})"))
           .empty());
-  // Unknown types pass — the schema is open.
-  EXPECT_TRUE(validate_log_record(parse(R"({"type":"future_record"})")).empty());
+  // The schema is closed: a type it does not know is rejected ...
+  EXPECT_FALSE(
+      validate_log_record(parse(R"({"type":"future_record"})")).empty());
+  // ... retired types still validate, so old run logs stay checkable ...
+  EXPECT_TRUE(
+      validate_log_record(parse(R"({"type":"surrogate_query"})")).empty());
+  // ... and the persistence records are checked like any other.
+  EXPECT_TRUE(validate_log_record(
+                  parse(R"({"type":"store_save","path":"s.aapx","format":1})"))
+                  .empty());
+  EXPECT_FALSE(
+      validate_log_record(parse(R"({"type":"store_load","format":1})")).empty());
   // No type at all fails.
   EXPECT_FALSE(validate_log_record(parse(R"({"typo":"x"})")).empty());
   EXPECT_FALSE(validate_log_record(parse("[1]")).empty());
+}
+
+TEST(ValidateLogRecordTest, RejectsMisspelledType) {
+  const std::vector<std::string> errors = validate_log_record(parse(
+      R"({"type":"sta_querry","kind":"fresh","gates":3,"max_delay_ps":1})"));
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("unknown record type 'sta_querry'"),
+            std::string::npos)
+      << errors[0];
 }
 
 TEST(SummarizeLogTest, CountsTypesAndExtractsDecisions) {

@@ -4,6 +4,7 @@
 // the results (or the run-log bytes) of surviving requests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
 #include "engine/persist.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/runlog.hpp"
 #include "service/client.hpp"
@@ -95,15 +97,27 @@ TEST(CancelToken, MidSweepCancelLeavesNoPartialSurface) {
   opt.cancel = &token;
   const Context ctx(opt);
   const CellLibrary lib = make_nangate45_like();
-  // Wide sweep (every precision point of a 32-bit adder) so the cancel
-  // reliably lands mid-flight.
-  ComponentSpec spec{ComponentKind::adder, 32, 0, AdderArch::ripple,
-                     MultArch::array};
+  // Every precision point of a 32-bit array multiplier: the points after
+  // the first take well over 50 ms together, so a cancel issued once the
+  // first point is under way lands mid-sweep.
+  const ComponentSpec spec{ComponentKind::multiplier, 32, 0, AdderArch::cla4,
+                           MultArch::array};
   CharacterizerOptions copt;
   copt.min_precision = 1;
   const ComponentCharacterizer ch(ctx, lib, BtiModel{}, copt);
+  // The canceller waits on this Context's own registry until the first
+  // point has counted its netlist (or delay) miss, then cancels — no
+  // wall-clock guess about how fast the sweep runs.
+  const obs::Counter& netlist_misses =
+      ctx.metrics().counter("engine.store.netlist_misses");
+  const obs::Counter& delay_misses =
+      ctx.metrics().counter("engine.store.delay_misses");
+  std::atomic<bool> sweep_done{false};
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    while (netlist_misses.value() == 0 && delay_misses.value() == 0 &&
+           !sweep_done.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
     token.cancel();
   });
   bool threw = false;
@@ -112,8 +126,9 @@ TEST(CancelToken, MidSweepCancelLeavesNoPartialSurface) {
   } catch (const CancelledError&) {
     threw = true;
   }
+  sweep_done.store(true);
   canceller.join();
-  if (!threw) GTEST_SKIP() << "sweep outran the canceller on this machine";
+  ASSERT_TRUE(threw) << "the sweep finished before the cancel landed";
   // Sub-artifacts of completed grains (netlists, aged libraries, delays)
   // may be cached — that is the "exactly as warm as completed work"
   // contract — but no characterization surface may exist: the surface

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/context.hpp"
 #include "gatesim/funcsim.hpp"
 #include "synth/arith.hpp"
+#include "synth/components.hpp"
 #include "util/rng.hpp"
 
 namespace aapx {
@@ -148,6 +150,33 @@ TEST_F(PassesTest, IdempotentOnOptimizedNetlist) {
   const OptimizeResult twice = optimize(once.netlist);
   EXPECT_EQ(once.netlist.num_gates(), twice.netlist.num_gates());
   expect_equivalent(once.netlist, twice.netlist, 100, 5);
+}
+
+// optimize.passes counts rebuilds: one per optimize() call, plus one per
+// extra rebuild that swept gates orphaned by constant folding. An exact,
+// deterministic work counter over a fixed component set. The optimizer that
+// confirmed every fixpoint with one more full rebuild counted 39 here (a
+// confirming pass per call on top of the same rebuilds).
+TEST_F(PassesTest, PassCounterCountsRebuildsOnly) {
+  Context::Options opt;
+  opt.threads = 1;
+  const Context ctx(opt);
+  for (const AdderArch arch :
+       {AdderArch::ripple, AdderArch::cla4, AdderArch::kogge_stone}) {
+    for (const int tb : {0, 4, 8}) {
+      make_component(ctx, lib_,
+                     {ComponentKind::adder, 16, tb, arch, MultArch::array});
+    }
+  }
+  for (const MultArch arch : {MultArch::array, MultArch::wallace}) {
+    for (const int tb : {0, 4, 8}) {
+      make_component(
+          ctx, lib_,
+          {ComponentKind::multiplier, 16, tb, AdderArch::cla4, arch});
+    }
+  }
+  EXPECT_EQ(ctx.metrics().counter("optimize.calls").value(), 15u);
+  EXPECT_EQ(ctx.metrics().counter("optimize.passes").value(), 24u);
 }
 
 TEST_F(PassesTest, ConstantOutputsStayConstant) {
